@@ -90,6 +90,15 @@ CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --sm
 step "exp_lm_compare --smoke --legacy (CHLM_THREADS=2, A/B path)"
 CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke --legacy
 
+# The E25 re-sweep at CI scale (the E24 smoke grid priced under
+# HopMetric::HierRouting), at two thread counts: the per-tick routing
+# table build and walks share the thread-invariance contract.
+step "exp_hier_resweep --smoke (CHLM_THREADS=1)"
+CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
+
+step "exp_hier_resweep --smoke (CHLM_THREADS=2)"
+CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
+
 # The E27 update-vs-query crossover at CI scale (n=256, 1 seed, 2 CMR
 # points, all schemes x both backends, all three mobilities), at two
 # thread counts: the query plane shares the thread-invariance contract.

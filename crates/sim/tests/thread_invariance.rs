@@ -256,6 +256,37 @@ fn query_plane_thread_invariant() {
 }
 
 #[test]
+fn hier_routing_thread_invariant() {
+    // HierRouting prices every hop along the per-tick routing tables; the
+    // table build and the suffix-memo walks must not see the pool width,
+    // for any scheme.
+    const HIER_THREADS: [usize; 3] = [1, 2, 4];
+    for scheme in [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent] {
+        let reports: Vec<_> = HIER_THREADS
+            .iter()
+            .map(|&t| {
+                let mut cfg = base_cfg(110, 42);
+                cfg.hop_metric = HopMetric::HierRouting;
+                cfg.lm_scheme = scheme;
+                cfg.threads = t;
+                chlm_sim::run_simulation(&cfg)
+            })
+            .collect();
+        assert!(
+            reports[0].total_overhead() > 0.0,
+            "{scheme:?}: no overhead, test is vacuous"
+        );
+        for (i, r) in reports.iter().enumerate().skip(1) {
+            assert_eq!(
+                &reports[0], r,
+                "HierRouting/{scheme:?}: threads {} vs {} diverged",
+                HIER_THREADS[0], HIER_THREADS[i]
+            );
+        }
+    }
+}
+
+#[test]
 fn rpgm_mobility_thread_invariant() {
     // A second mobility process (grouped motion → clustered churn bursts)
     // to make sure invariance is not an artifact of waypoint smoothness.

@@ -7,7 +7,10 @@
 //! the hierarchical routing table is built once per tick per world and
 //! shared by all three scheme banks (one `with_pricer` scope per metric
 //! group), so the re-sweep costs roughly one world-run where the legacy
-//! path would have cost three plus three table builds.
+//! path would have cost three plus three table builds. The table is
+//! rebuilt in place each tick with work proportional to each cluster and
+//! its parent, so at n = 1024 the scheme banks' table walks, not the
+//! build, dominate the tick.
 //!
 //! Same grid and knobs as E24 (`CHLM_MAX_N`, `CHLM_SEEDS`,
 //! `CHLM_DURATION`, `CHLM_WARMUP`, `--smoke`); only the pricing differs.

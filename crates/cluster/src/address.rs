@@ -49,7 +49,7 @@ pub struct AddrChange {
 /// Snapshot of all node addresses, with depth padding so snapshots of
 /// different hierarchy depths can be diffed (a node "at the top" keeps its
 /// top head for the missing levels).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddressBook {
     /// Row-major `n × depth`.
     addr: Vec<NodeIdx>,
@@ -60,11 +60,7 @@ pub struct AddressBook {
 impl AddressBook {
     /// Capture the addresses of every node in `h`.
     pub fn capture(h: &Hierarchy) -> Self {
-        let mut book = AddressBook {
-            addr: Vec::new(),
-            n: 0,
-            depth: 0,
-        };
+        let mut book = AddressBook::default();
         book.capture_into(h, &mut Vec::new());
         book
     }

@@ -36,9 +36,9 @@ pub enum HopMetric {
     Euclidean(f64),
     /// Strict hierarchical forwarding over `chlm_routing::NextHopTable`:
     /// pairs are priced by walking the actual per-node routing tables, so
-    /// hierarchical stretch is measured instead of assumed away. Builds
-    /// the tables each tick — protocol-fidelity studies at moderate sizes,
-    /// not the largest sweeps.
+    /// hierarchical stretch is measured instead of assumed away. Rebuilds
+    /// the tables each tick with work proportional to each cluster and
+    /// its parent; the per-pair table walks then dominate.
     HierRouting,
 }
 

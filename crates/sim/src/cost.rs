@@ -142,16 +142,16 @@ impl CostModel for EuclideanCostModel {
 /// shared suffix once. Both memos only skip re-walking pure functions of
 /// the snapshot, so values are unchanged.
 struct HierPricer<'a> {
-    table: NextHopTable,
+    table: &'a NextHopTable,
     positions: &'a [Point],
     rtx: f64,
     fallback: f64,
     /// Fallback estimates for unroutable pairs, which the suffix memo
     /// cannot cache (there is no path to record).
-    fallback_memo: FastMap<(NodeIdx, NodeIdx), f64>,
+    fallback_memo: &'a mut FastMap<(NodeIdx, NodeIdx), f64>,
     /// `(node, target)` → remaining table hops, filled along every walk.
-    suffix_memo: FastMap<(NodeIdx, NodeIdx), u32>,
-    path_scratch: Vec<NodeIdx>,
+    suffix_memo: &'a mut FastMap<(NodeIdx, NodeIdx), u32>,
+    path_scratch: &'a mut Vec<NodeIdx>,
 }
 
 impl HopPricer for HierPricer<'_> {
@@ -164,7 +164,7 @@ impl HopPricer for HierPricer<'_> {
         }
         match self
             .table
-            .route_hops_memo(a, b, &mut self.suffix_memo, &mut self.path_scratch)
+            .route_hops_memo(a, b, self.suffix_memo, self.path_scratch)
         {
             Some(h) => h as f64,
             None => {
@@ -177,13 +177,17 @@ impl HopPricer for HierPricer<'_> {
     }
 }
 
-/// The paper's forwarding substrate as a cost model: each tick builds the
-/// hierarchy's per-node routing tables and prices pairs by the actual
-/// table-driven walk — hierarchical stretch included. `O(Σ_k |V_k| ·
-/// (n + m))` per tick; meant for protocol-fidelity studies at moderate
-/// sizes, not the largest sweeps.
+/// The paper's forwarding substrate as a cost model: each tick rebuilds
+/// the hierarchy's per-node routing tables in place and prices pairs by
+/// the actual table-driven walk — hierarchical stretch included. The
+/// rebuild's searches stay inside each cluster's parent
+/// ([`NextHopTable::rebuild`]): about `α · (n + m)` BFS work per level
+/// for cluster arity `α`, plus a two-hop search per node, then the walks.
 pub struct HierRoutingCostModel {
     calibration: f64,
+    /// The routing tables, rebuilt in place every tick so their buffers
+    /// are allocated once.
+    table: NextHopTable,
     /// Pricer memos recycled across ticks (cleared per pricer scope —
     /// the table changes with the hierarchy — but capacity is retained).
     fallback_memo: FastMap<(NodeIdx, NodeIdx), f64>,
@@ -196,6 +200,7 @@ impl HierRoutingCostModel {
         assert!(calibration > 0.0 && calibration.is_finite());
         HierRoutingCostModel {
             calibration,
+            table: NextHopTable::default(),
             fallback_memo: FastMap::default(),
             suffix_memo: FastMap::default(),
             path_scratch: Vec::new(),
@@ -212,21 +217,18 @@ impl Default for HierRoutingCostModel {
 
 impl CostModel for HierRoutingCostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer)) {
+        self.table.rebuild(inputs.hierarchy);
         self.fallback_memo.clear();
         self.suffix_memo.clear();
-        let mut pricer = HierPricer {
-            table: NextHopTable::build(inputs.hierarchy),
+        scope(&mut HierPricer {
+            table: &self.table,
             positions: inputs.positions,
             rtx: inputs.rtx,
             fallback: self.calibration,
-            fallback_memo: std::mem::take(&mut self.fallback_memo),
-            suffix_memo: std::mem::take(&mut self.suffix_memo),
-            path_scratch: std::mem::take(&mut self.path_scratch),
-        };
-        scope(&mut pricer);
-        self.fallback_memo = pricer.fallback_memo;
-        self.suffix_memo = pricer.suffix_memo;
-        self.path_scratch = pricer.path_scratch;
+            fallback_memo: &mut self.fallback_memo,
+            suffix_memo: &mut self.suffix_memo,
+            path_scratch: &mut self.path_scratch,
+        });
     }
 }
 

@@ -79,16 +79,12 @@ CHLM_THREADS=2 cargo xtask bench --smoke
 # The E24 scheme comparison at CI scale (n=256, 1 seed, all three schemes,
 # all three mobilities), through the shared-world multiplexer at two
 # thread counts: scheme accounting is covered by the same thread-
-# invariance contract as everything else. One --legacy run keeps the
-# per-scheme A/B path compiling and exercised end to end.
+# invariance contract as everything else.
 step "exp_lm_compare --smoke (CHLM_THREADS=1, multiplexed)"
 CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke
 
 step "exp_lm_compare --smoke (CHLM_THREADS=2, multiplexed)"
 CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke
-
-step "exp_lm_compare --smoke --legacy (CHLM_THREADS=2, A/B path)"
-CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke --legacy
 
 # The E25 re-sweep at CI scale (the E24 smoke grid priced under
 # HopMetric::HierRouting), at two thread counts: the per-tick routing

@@ -8,7 +8,7 @@
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_bench::{banner, env_usize, replications, standard_config, threads};
 use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_core::experiment::{summarize_metric, sweep_multiplexed};
+use chlm_core::experiment::{summarize_metric, sweep};
 use chlm_geom::{Disk, Region, SimRng};
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_lm::gls::{gls_resolve, GlsAssignment, GridHierarchy};
@@ -19,10 +19,8 @@ fn main() {
     banner("E13 / §3", "CHLM vs GLS LM maintenance overhead");
     let max = env_usize("CHLM_MAX_N", 1024).min(1024);
     let sizes: Vec<usize> = chlm_core::scenario::scaling_sizes(max);
-    // One report yields both the CHLM and the GLS series (track_gls), so
-    // the multiplexed sweep runs a single variant per world — the win
-    // here is the flattened (n, seed) work-stealing job graph.
-    let points = sweep_multiplexed(&sizes, replications(), 13_000, threads(), |n| {
+    // One report yields both the CHLM and the GLS series (track_gls).
+    let points = sweep(&sizes, replications(), 13_000, threads(), |n| {
         let mut cfg = standard_config(n);
         cfg.track_gls = true;
         cfg.query_samples = 60;

@@ -1,9 +1,7 @@
 //! Sweep-and-summarize helpers shared by examples and experiment binaries.
 
 use chlm_analysis::stats::Summary;
-use chlm_sim::{
-    run_replications, run_sweep, runner::seed_range, SimConfig, SimReport, SweepJob, VariantSpec,
-};
+use chlm_sim::{run_sweep, runner::seed_range, SimConfig, SimReport, SweepJob, VariantSpec};
 
 /// All replications at one network size.
 #[derive(Debug, Clone)]
@@ -16,7 +14,7 @@ impl SweepPoint {
     /// Summary of `metric` across this point's replications.
     pub fn summary<F: Fn(&SimReport) -> f64>(&self, metric: F) -> Summary {
         let xs: Vec<f64> = self.reports.iter().map(metric).collect();
-        // audit: infallible because run_replications always yields >= 1 report
+        // audit: infallible because sweep always yields >= 1 report per point
         Summary::of(&xs).expect("sweep point with no replications")
     }
 }
@@ -39,34 +37,11 @@ impl MetricSeries {
 
 /// Run a scaling sweep: for each size, build a config with `make_config`
 /// and run `replications` seeded replications (`base_seed + i`) across
-/// `threads` threads.
+/// `threads` threads. The whole (size, seed) grid is flattened into one
+/// [`SweepJob`] graph, so workers claim whole world-runs off
+/// [`run_sweep`]'s ticket counter with no barrier between sizes. Reports
+/// are byte-identical at any thread count.
 pub fn sweep<F: Fn(usize) -> SimConfig>(
-    sizes: &[usize],
-    replications: usize,
-    base_seed: u64,
-    threads: usize,
-    make_config: F,
-) -> Vec<SweepPoint> {
-    assert!(replications >= 1);
-    sizes
-        .iter()
-        .map(|&n| {
-            let cfg = make_config(n);
-            assert_eq!(cfg.n, n, "make_config must honor the requested size");
-            let seeds = seed_range(base_seed, replications);
-            let reports = run_replications(&cfg, &seeds, threads);
-            SweepPoint { n, reports }
-        })
-        .collect()
-}
-
-/// Multiplexed counterpart of [`sweep`]: the whole (size, seed) grid is
-/// flattened into one [`SweepJob`] graph and whole world-runs are claimed
-/// off `chlm-sim`'s work-stealing ticket counter, instead of a separate
-/// `run_replications` barrier per size. Reports are byte-identical to
-/// [`sweep`] at any thread count; only scheduling (and wall clock on
-/// ragged grids) differs.
-pub fn sweep_multiplexed<F: Fn(usize) -> SimConfig>(
     sizes: &[usize],
     replications: usize,
     base_seed: u64,
@@ -131,7 +106,7 @@ pub fn summarize_metric<F: Fn(&SimReport) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chlm_sim::SimConfig;
+    use chlm_sim::run_replications;
 
     #[test]
     fn sweep_runs_and_summarizes() {
@@ -148,14 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn multiplexed_sweep_matches_sweep_exactly() {
+    fn sweep_matches_per_seed_runs_exactly() {
         let make = |n: usize| SimConfig::builder(n).duration(1.0).warmup(0.2).build();
-        let plain = sweep(&[40, 80], 2, 100, 2, make);
-        let multi = sweep_multiplexed(&[40, 80], 2, 100, 2, make);
-        assert_eq!(plain.len(), multi.len());
-        for (p, m) in plain.iter().zip(&multi) {
-            assert_eq!(p.n, m.n);
-            assert_eq!(p.reports, m.reports);
+        let points = sweep(&[40, 80], 2, 100, 2, make);
+        let seeds = seed_range(100, 2);
+        for p in &points {
+            let solo = run_replications(&make(p.n), &seeds, 1);
+            assert_eq!(p.reports, solo, "n={} grid order broken", p.n);
         }
     }
 

@@ -7,15 +7,16 @@
 //! — pricing packets through the configured [`crate::cost::CostModel`] —
 //! to update every accumulator.
 //!
-//! Since PR 7 the engine is split along the scheme seam that
+//! The engine is split along the scheme seam that
 //! `tests/scheme_trace.rs` pins: a `World` owns everything upstream of
 //! the observers — stages, snapshots, diff streams, rotation — and is a
 //! pure function of `(world config, seed)`, while an `ObserverBank`
 //! owns one variant's accounting (observers, auditor, the `finish`
-//! sampling stream). [`Simulation`] is the single-variant composition of
-//! the two; [`crate::multiplex::MultiplexSim`] fans one `World`'s
-//! `TickCtx` stream out to many banks so an experiment grid pays for
-//! the world once.
+//! sampling stream). [`crate::multiplex::MultiplexSim`] is the one world
+//! driver: it fans a `World`'s `TickCtx` stream out to any number of
+//! banks. [`Simulation`] is its one-bank case, and the backend (analytic
+//! pricing or packet execution) is a property of that bank's handoff
+//! slot, chosen by [`crate::scheme::make_accounting`].
 //!
 //! The hot path is allocation-frugal by design: per-tick state (topology,
 //! hierarchy level-0 graph, address books, LM assignment, level churn sets,
@@ -25,21 +26,16 @@
 //! [`chlm_lm::server::LmCache`]) are proven byte-equivalent to their
 //! from-scratch counterparts; `SimConfig::full_rebuild` disables them so the
 //! equivalence suite can diff entire reports.
-//!
-//! [`Engine`] abstracts over backends: the analytic [`Simulation`] here
-//! and the packet-level [`crate::packet::PacketEngine`] produce the same
-//! [`SimReport`] schema from the same pipeline, differing only in how the
-//! handoff slot is accounted.
 
 use crate::audit::{AuditViolation, Auditor, TickInputs};
-use crate::config::LmScheme;
-use crate::config::{Backend, HopMetric, MobilityKind, SimConfig};
+use crate::config::{HopMetric, LmScheme, MobilityKind, SimConfig};
 use crate::cost::{cost_model_for, CostInputs, CostModel, HopPricer};
+use crate::multiplex::{MultiplexSim, VariantSpec};
 use crate::observe::{GlsObserver, HandoffAccounting, Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
 use crate::packet::shard_loss_seed;
 use crate::report::{SimReport, StateSummary};
-use crate::scheme::{make_accounting, make_lookup, make_query_accounting, LookupLeg, LookupWorld};
+use crate::scheme::{make_lookup, make_query_accounting, LookupLeg, LookupWorld};
 use crate::stage::{
     default_stages, AssignmentStage, HierarchyStage, MobilityStage, TickCtx, TopologyStage,
 };
@@ -53,37 +49,6 @@ use chlm_lm::server::LmAssignment;
 use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
 };
-
-/// A simulation backend: steps ticks, finishes into a [`SimReport`].
-/// Implemented by the analytic [`Simulation`] and the packet-level
-/// [`crate::packet::PacketEngine`]; construct either via [`build_engine`].
-pub trait Engine {
-    /// The configuration this engine runs under.
-    fn config(&self) -> &SimConfig;
-    /// Advance one tick, recording every counter.
-    fn step(&mut self);
-    /// Invariant violations found so far (empty unless auditing).
-    fn audit_violations(&self) -> &[AuditViolation];
-    /// Produce the report from whatever has been simulated so far.
-    fn finish_boxed(self: Box<Self>) -> SimReport;
-}
-
-/// Build the engine `cfg.backend` selects.
-pub fn build_engine(cfg: &SimConfig) -> Box<dyn Engine> {
-    match cfg.backend {
-        Backend::Analytic => Box::new(Simulation::new(cfg.clone())),
-        Backend::Packet { .. } => Box::new(crate::packet::PacketEngine::new(cfg.clone())),
-    }
-}
-
-/// Run any engine through its configured tick count and finish it.
-pub fn run_engine(mut engine: Box<dyn Engine>) -> SimReport {
-    let ticks = engine.config().tick_count();
-    for _ in 0..ticks {
-        engine.step();
-    }
-    engine.finish_boxed()
-}
 
 /// The scheme-independent half of the engine: stages, snapshots, diff
 /// streams and their rotation. A `World` is a pure function of the
@@ -336,8 +301,7 @@ impl World {
 }
 
 /// The cost model one variant config prices with, fed by the world's
-/// startup calibration (a fixed `Euclidean(c)` bypasses the measurement,
-/// exactly as the pre-split engine did).
+/// startup calibration (a fixed `Euclidean(c)` bypasses the measurement).
 pub(crate) fn variant_cost_model(world: &World, cfg: &SimConfig) -> Box<dyn CostModel> {
     let calibration = match cfg.hop_metric {
         HopMetric::Euclidean(c) => c,
@@ -383,12 +347,12 @@ fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObserve
 /// One variant's accounting over a shared `World`: the variant's own
 /// observer set (handoff, GLS, extras), the optional invariant auditor,
 /// and a private clone of the world's run stream for `finish`-time
-/// sampling. The scheme-independent accumulators live in a
-/// [`WorldObservers`] owned by the caller — one per standalone run, one
-/// *shared across every bank* of a multiplexed run — and are read back at
-/// `audit`/`finish` time. Banks never touch world state, so any number of
-/// them can consume the same `TickCtx` stream and each produce the
-/// [`SimReport`] a standalone run of its config would.
+/// sampling. The scheme-independent accumulators live in one
+/// [`WorldObservers`] that the multiplexer *shares across every bank* and
+/// that each bank reads back at `audit`/`finish` time. Banks never touch
+/// world state, so any number of them can consume the same `TickCtx`
+/// stream and each produce the [`SimReport`] a one-bank run of its config
+/// would.
 pub(crate) struct ObserverBank {
     cfg: SimConfig,
     observers: Observers,
@@ -605,155 +569,92 @@ impl ObserverBank {
     }
 }
 
-/// The analytic simulation engine: one `World` driving one
-/// `ObserverBank`. Construct with [`Simulation::new`], run with
-/// [`Simulation::run`] (or drive tick-by-tick with [`Simulation::step`]).
+/// One simulation run: the one-bank [`MultiplexSim`], whose single
+/// variant is the config's own scheme, hop metric and backend. Construct
+/// with [`Simulation::new`], run with [`Simulation::run`] (or drive
+/// tick-by-tick with [`Simulation::step`]).
 pub struct Simulation {
-    world: World,
-    cost: Box<dyn CostModel>,
-    world_obs: WorldObservers,
-    bank: ObserverBank,
-    sources_scratch: Vec<NodeIdx>,
+    mx: MultiplexSim,
 }
 
 impl Simulation {
     /// Set up a simulation: deploy, warm the mobility process up, build the
     /// initial hierarchy and LM assignment, and calibrate the hop oracle.
-    /// The handoff slot is filled by [`make_accounting`] from the config's
-    /// [`LmScheme`] and backend, so any scheme runs over the same pipeline.
+    /// The handoff slot is filled by [`crate::scheme::make_accounting`]
+    /// from the config's [`LmScheme`] and backend, so any scheme runs on
+    /// either backend over the same pipeline.
     pub fn new(cfg: SimConfig) -> Self {
-        let handoff = make_accounting(&cfg);
-        Simulation::with_handoff(cfg, handoff)
+        Simulation::of(&cfg)
     }
 
-    /// Like [`Simulation::new`], but with a custom handoff-accounting
-    /// observer in the handoff slot — how the packet backend reuses the
-    /// whole pipeline with packet-executed pricing.
-    pub fn with_handoff(cfg: SimConfig, handoff: Box<dyn HandoffAccounting>) -> Self {
-        let world = World::new(cfg);
-        let cost = variant_cost_model(&world, world.cfg());
-        let world_obs = WorldObservers::new(world.hierarchy());
-        let bank = ObserverBank::new(world.cfg().clone(), &world, &world_obs, handoff);
+    /// [`Simulation::new`] over a borrowed config, which the world and the
+    /// bank copy from.
+    pub(crate) fn of(cfg: &SimConfig) -> Self {
+        let variant = VariantSpec::from_config("sim", cfg);
         Simulation {
-            world,
-            cost,
-            world_obs,
-            bank,
-            sources_scratch: Vec::new(),
+            mx: MultiplexSim::new(cfg, &[variant]),
         }
     }
 
     /// The configuration this simulation runs under.
     pub fn config(&self) -> &SimConfig {
-        self.world.cfg()
+        self.mx.config()
     }
 
     /// Current hierarchy snapshot.
     pub fn hierarchy(&self) -> &Hierarchy {
-        self.world.hierarchy()
+        self.mx.hierarchy()
     }
 
-    /// The variant's own observer set (handoff slot, GLS, extras —
-    /// accumulators read back by backends and tests).
+    /// The variant's own observer set (handoff slot, query plane, GLS,
+    /// extras): packet totals, ledgers and query-plane network stats are
+    /// read back through it.
     pub fn observers(&self) -> &Observers {
-        self.bank.observers()
-    }
-
-    /// The scheme-independent world accumulators.
-    pub fn world_observers(&self) -> &WorldObservers {
-        &self.world_obs
+        self.mx.observers(0)
     }
 
     /// Append a custom observer; it runs after the built-in set each tick.
     pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.bank.add_observer(observer);
+        self.mx.add_observer(0, observer);
     }
 
     /// Invariant violations found so far (empty unless `SimConfig::audit`
     /// is set — and, for a correct engine, empty even then).
     pub fn audit_violations(&self) -> &[AuditViolation] {
-        self.bank.violations()
+        self.mx.audit_violations(0)
     }
 
     /// Advance one tick, recording every counter.
     pub fn step(&mut self) {
-        let cost = &mut self.cost;
-        let world_obs = &mut self.world_obs;
-        let bank = &mut self.bank;
-        let sources = &mut self.sources_scratch;
-        self.world.step_with(&mut |ctx| {
-            // Scheme-independent accumulators first (no pricer involved),
-            // then the variant's own observers inside one pricer scope, so
-            // BFS pricing shares its per-source distance cache within the
-            // tick and its buffers pool across ticks (inside the cost
-            // model). The CHLM query sources are known from the diffs
-            // alone, so they are collected up front and the model fills
-            // those rows across its worker pool before any observer prices
-            // a packet.
-            world_obs.on_tick(ctx);
-            sources.clear();
-            if bank.wants_bfs_sources() {
-                collect_chlm_bfs_sources(ctx, sources);
-            }
-            let inputs = CostInputs {
-                graph: ctx.graph,
-                positions: ctx.positions,
-                hierarchy: ctx.new_hierarchy,
-                rtx: ctx.rtx,
-                sources: sources.as_slice(),
-            };
-            cost.with_pricer(&inputs, &mut |pricer| bank.observe(ctx, pricer));
-            bank.audit(ctx, world_obs);
-        });
+        self.mx.step();
     }
 
     /// Run the configured number of ticks and produce the report.
-    pub fn run(mut self) -> SimReport {
-        let ticks = self.config().tick_count();
-        for _ in 0..ticks {
-            self.step();
-        }
-        self.finish()
+    pub fn run(self) -> SimReport {
+        single(self.mx.run())
     }
 
     /// Run to completion under the invariant auditor (forced on) and
     /// return both the report and every violation found.
     pub fn run_audited(mut self) -> (SimReport, Vec<AuditViolation>) {
-        self.bank.ensure_auditor(&self.world_obs);
-        let ticks = self.config().tick_count();
-        for _ in 0..ticks {
+        self.mx.ensure_auditor(0);
+        for _ in 0..self.config().tick_count() {
             self.step();
         }
-        let violations = self.bank.take_violations();
+        let violations = self.mx.take_violations(0);
         (self.finish(), violations)
     }
 
     /// Produce the report from whatever has been simulated so far.
     pub fn finish(self) -> SimReport {
-        let Simulation {
-            world,
-            mut cost,
-            world_obs,
-            bank,
-            ..
-        } = self;
-        bank.finish(&world, &world_obs, &mut *cost)
+        single(self.mx.finish())
     }
 }
 
-impl Engine for Simulation {
-    fn config(&self) -> &SimConfig {
-        Simulation::config(self)
-    }
-    fn step(&mut self) {
-        Simulation::step(self);
-    }
-    fn audit_violations(&self) -> &[AuditViolation] {
-        Simulation::audit_violations(self)
-    }
-    fn finish_boxed(self: Box<Self>) -> SimReport {
-        (*self).finish()
-    }
+/// The report of a one-bank run.
+fn single(mut reports: Vec<SimReport>) -> SimReport {
+    // audit: infallible because a Simulation's multiplexer has exactly one variant
+    reports.pop().expect("one report per one-bank run")
 }
 
 #[cfg(test)]
@@ -888,14 +789,6 @@ mod tests {
         sim.add_observer(Box::new(TickCounter(count.clone())));
         let _ = sim.run();
         assert_eq!(count.get(), ticks);
-    }
-
-    #[test]
-    fn engine_trait_matches_direct_run() {
-        let cfg = quick_cfg(70, 11);
-        let direct = Simulation::new(cfg.clone()).run();
-        let via_engine = run_engine(build_engine(&cfg));
-        assert_eq!(direct, via_engine);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The discrete-time simulation engine behind every CHLM experiment.
 //!
-//! Each tick the engine: advances mobility by `Δt`, rebuilds the unit-disk
-//! graph, recomputes the LCA hierarchy, diffs addresses / LM server
-//! assignments / level-k topologies against the previous tick, and feeds
-//! the diffs to the measurement counters:
+//! Each tick the engine: advances mobility by `Δt`, patches the unit-disk
+//! graph for the edges that flipped, maintains the LCA hierarchy for the
+//! clusters those flips dirtied, diffs addresses / LM server assignments /
+//! level-k topologies against the previous tick, and feeds the diffs to
+//! the measurement counters:
 //!
 //! * the [`chlm_lm::HandoffLedger`] (packet transmissions → φ_k, γ_k),
 //! * per-level migration counters (→ f_k, eq. 8),
@@ -53,10 +54,10 @@ pub use config::{
     Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, SimConfigBuilder,
 };
 pub use cost::{CostInputs, CostModel, HopPricer};
-pub use engine::{build_engine, run_engine, Engine, Simulation};
+pub use engine::Simulation;
 pub use multiplex::{run_multiplexed, MultiplexSim, VariantSpec};
 pub use observe::{HandoffAccounting, Observer, QueryAccounting};
-pub use packet::{PacketEngine, PacketTotals};
+pub use packet::PacketTotals;
 pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
 pub use runner::{budget_split, run_replications, run_sweep, SweepJob};
 pub use scheme::{
@@ -71,5 +72,5 @@ pub use stage::TickCtx;
 /// entry point (see the crate quickstart example). Respects
 /// `cfg.backend`: analytic pricing or packet-level execution.
 pub fn run_simulation(cfg: &SimConfig) -> SimReport {
-    run_engine(build_engine(cfg))
+    Simulation::of(cfg).run()
 }

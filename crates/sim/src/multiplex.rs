@@ -45,9 +45,10 @@ use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
 use crate::cost::{CostInputs, CostModel};
 use crate::engine::{collect_chlm_bfs_sources, variant_cost_model, ObserverBank, World};
-use crate::observe::WorldObservers;
+use crate::observe::{Observers, WorldObservers};
 use crate::report::SimReport;
 use crate::scheme::make_accounting;
+use chlm_cluster::Hierarchy;
 use chlm_graph::NodeIdx;
 
 /// One requested variant of a shared world: the three config axes the
@@ -197,11 +198,31 @@ impl MultiplexSim {
         self.banks[variant].violations()
     }
 
-    /// Attach an extra observer to one variant's bank — the multiplexed
-    /// counterpart of [`crate::Simulation::add_observer`], used by the
-    /// trace-identity tests to digest what each bank sees.
+    /// Attach an extra observer to one variant's bank; it runs after the
+    /// bank's built-in set each tick.
     pub fn add_observer(&mut self, variant: usize, obs: Box<dyn crate::observe::Observer>) {
         self.banks[variant].add_observer(obs);
+    }
+
+    /// The shared world's current hierarchy snapshot.
+    pub(crate) fn hierarchy(&self) -> &Hierarchy {
+        self.world.hierarchy()
+    }
+
+    /// One variant's own observer set.
+    pub(crate) fn observers(&self, variant: usize) -> &Observers {
+        self.banks[variant].observers()
+    }
+
+    /// Force one variant's invariant auditor on, whatever the base config
+    /// says.
+    pub(crate) fn ensure_auditor(&mut self, variant: usize) {
+        self.banks[variant].ensure_auditor(&self.world_obs);
+    }
+
+    /// Take one variant's violations, retiring its auditor.
+    pub(crate) fn take_violations(&mut self, variant: usize) -> Vec<AuditViolation> {
+        self.banks[variant].take_violations()
     }
 
     /// Advance the shared world one tick and drive every bank over the
@@ -288,15 +309,6 @@ mod tests {
             .query_samples(8)
             .threads(1)
             .build()
-    }
-
-    #[test]
-    fn single_variant_matches_run_simulation() {
-        let cfg = base_cfg(90, 21);
-        let solo = run_simulation(&cfg);
-        let multi = run_multiplexed(&cfg, &[VariantSpec::from_config("only", &cfg)]);
-        assert_eq!(multi.len(), 1);
-        assert_eq!(multi[0], solo);
     }
 
     #[test]

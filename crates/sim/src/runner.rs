@@ -64,7 +64,7 @@ pub fn budget_split(threads: usize, jobs: usize, inner_hint: Option<usize>) -> (
 /// Run `seeds.len()` replications of `cfg` (seed overridden per
 /// replication), at most `outer` at a time per [`budget_split`]. Reports
 /// come back in seed order. Respects `cfg.backend` — replications run on
-/// whichever engine the config selects.
+/// whichever backend the config selects.
 ///
 /// Work distribution is [`WorkerPool::run_indexed`]: workers claim seed
 /// indices off a lock-free ticket counter and results are scattered into
@@ -76,7 +76,7 @@ pub fn run_replications(cfg: &SimConfig, seeds: &[u64], threads: usize) -> Vec<S
         let mut c = cfg.clone();
         c.seed = seeds[idx];
         c.threads = inner;
-        crate::run_simulation(&c)
+        crate::Simulation::new(c).run()
     })
 }
 

@@ -1,14 +1,14 @@
-//! Analytic-vs-packet engine parity.
+//! Analytic-vs-packet backend parity.
 //!
-//! The analytic engine *prices* the handoff workload with the BFS hop
-//! oracle; the packet engine *executes* it through `chlm_proto`'s
+//! The analytic backend *prices* the handoff workload with the BFS hop
+//! oracle; the packet backend *executes* it through `chlm_proto`'s
 //! discrete-event network. On a lossless, connected network every
 //! TRANSFER/REGISTER follows a shortest path, so the executed per-packet
 //! transmission counts must equal the oracle's prices entry for entry —
 //! and since both backends share the same stages and observers, the
 //! *entire reports* must be equal, not merely close.
 
-use chlm_sim::{Backend, Engine, HopMetric, LossSpec, PacketEngine, SimConfig, Simulation};
+use chlm_sim::{Backend, HopMetric, LossSpec, SimConfig, Simulation};
 
 /// Dense enough that the unit-disk graph stays connected for the whole
 /// run (parity needs zero dropped packets; the analytic oracle prices
@@ -27,12 +27,16 @@ fn cfg(backend: Backend) -> SimConfig {
 }
 
 fn run_packet(backend: Backend) -> (chlm_sim::SimReport, chlm_sim::PacketTotals) {
-    let mut engine = PacketEngine::new(cfg(backend));
-    for _ in 0..engine.config().tick_count() {
-        engine.step();
+    let mut sim = Simulation::new(cfg(backend));
+    for _ in 0..sim.config().tick_count() {
+        sim.step();
     }
-    let totals = engine.totals();
-    (Box::new(engine).finish_boxed(), totals)
+    let totals = sim
+        .observers()
+        .handoff
+        .packet_totals()
+        .expect("packet backend reports totals");
+    (sim.finish(), totals)
 }
 
 #[test]

@@ -17,8 +17,8 @@ use chlm_cluster::address::AddrChangeKind;
 use chlm_cluster::digest::{hierarchy_digest, Digest};
 use chlm_sim::cost::HopPricer;
 use chlm_sim::{
-    Backend, Engine, LmScheme, MobilityKind, MultiplexSim, Observer, PacketEngine, SimConfig,
-    SimReport, Simulation, TickCtx, VariantSpec,
+    Backend, LmScheme, MobilityKind, MultiplexSim, Observer, SimConfig, SimReport, Simulation,
+    TickCtx, VariantSpec,
 };
 
 const SCHEMES: [LmScheme; 3] = [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent];
@@ -82,23 +82,14 @@ fn traced_run(cfg: SimConfig) -> (Vec<u64>, SimReport) {
         out: digests.clone(),
     });
     let ticks = cfg.tick_count();
-    let report = if matches!(cfg.backend, Backend::Packet { .. }) {
-        let mut engine = PacketEngine::new(cfg);
-        engine.add_observer(obs);
-        for _ in 0..ticks {
-            engine.step();
-        }
-        Box::new(engine).finish_boxed()
-    } else {
-        let mut sim = Simulation::new(cfg);
-        sim.add_observer(obs);
-        for _ in 0..ticks {
-            sim.step();
-        }
-        sim.finish()
-    };
+    let mut sim = Simulation::new(cfg);
+    sim.add_observer(obs);
+    for _ in 0..ticks {
+        sim.step();
+    }
+    let report = sim.finish();
     let digests = Rc::try_unwrap(digests)
-        .expect("observer dropped with the engine")
+        .expect("observer dropped with the simulation")
         .into_inner();
     (digests, report)
 }

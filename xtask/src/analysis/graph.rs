@@ -7,10 +7,9 @@
 //! over-approximation — exactly what a lint wants: a function that
 //! *might* be on the per-tick step path is held to step-path rules.
 //!
-//! Roots are the engine entry points (`Simulation::step`,
-//! `PacketEngine::step`, and the PR 7 multiplexer fan-out
-//! `MultiplexSim::step`), every impl of the stage/observer/cost/scheme
-//! traits, and the `chlm-par` pool internals (its closures run inside
+//! Roots are the engine entry points (`Simulation::step` and the world
+//! driver it delegates to, `MultiplexSim::step`), every impl of the
+//! stage/observer/cost/scheme traits, and the `chlm-par` pool internals (its closures run inside
 //! worker threads on the step path).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -19,9 +18,9 @@ use crate::analysis::model::Workspace;
 use crate::analysis::scan::{self, ChainSeg};
 use crate::json;
 
-/// Traits whose implementations execute inside `Simulation::step` /
-/// `PacketEngine::step` every tick.
-pub const ROOT_TRAITS: [&str; 12] = [
+/// Traits whose implementations execute inside `MultiplexSim::step`
+/// every tick.
+pub const ROOT_TRAITS: [&str; 11] = [
     "MobilityStage",
     "TopologyStage",
     "HierarchyStage",
@@ -33,16 +32,14 @@ pub const ROOT_TRAITS: [&str; 12] = [
     "QueryAccounting",
     "CostModel",
     "HopPricer",
-    "Engine",
 ];
 
 /// `Type::method` pairs that root the reachability walk directly. The
 /// PR 8 incremental-maintenance entry points are listed explicitly so
 /// the walk still covers them if a stage stops calling one (e.g. the
 /// full-rebuild oracle path bypasses `advance`).
-pub const ROOT_FNS: [(&str, &str); 6] = [
+pub const ROOT_FNS: [(&str, &str); 5] = [
     ("Simulation", "step"),
-    ("PacketEngine", "step"),
     ("MultiplexSim", "step"),
     ("HierarchyMaintainer", "advance"),
     ("HierarchyMaintainer", "snapshot_into"),

@@ -82,15 +82,16 @@ fn step_reach_export_shape() {
     let fns_p = key_pos(reach, "functions").expect("functions");
     assert!(roots_p < count_p && count_p < fns_p, "{reach:?}");
 
-    // The step roots must include the two engine entry points.
+    // The step roots must include the simulation entry point and the
+    // world driver it delegates to.
     let roots = &reach[roots_p..count_p];
     assert!(
         roots.contains("Simulation::step"),
         "roots lost Simulation::step"
     );
     assert!(
-        roots.contains("PacketEngine::step"),
-        "roots lost PacketEngine::step"
+        roots.contains("MultiplexSim::step"),
+        "roots lost MultiplexSim::step"
     );
 
     // The reachable set must be a real closure, not a handful of roots.

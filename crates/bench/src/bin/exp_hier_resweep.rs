@@ -9,8 +9,8 @@
 //! group), so the re-sweep costs roughly one world-run where the legacy
 //! path would have cost three plus three table builds. The table is
 //! rebuilt in place each tick with work proportional to each cluster and
-//! its parent, so at n = 1024 the scheme banks' table walks, not the
-//! build, dominate the tick.
+//! its parent, and the banks' walks share one suffix memo that records
+//! delivered and unroutable outcomes alike.
 //!
 //! Same grid and knobs as E24 (`CHLM_MAX_N`, `CHLM_SEEDS`,
 //! `CHLM_DURATION`, `CHLM_WARMUP`, `--smoke`); only the pricing differs.

@@ -17,7 +17,10 @@
 //! set. A level-0 leg follows an unconfined shortest path, which may step
 //! outside the level-1 cluster; there a coarser entry can send the packet
 //! back, and the walk can cycle. The walkers cut such cycles and report
-//! no route.
+//! no route: next hops are a pure function of (node, target), so a walk
+//! that revisits a node never delivers. [`NextHopTable::route_hops_memo`]
+//! stops at the first revisit; the memo-less walkers stop once a walk
+//! exceeds `n - 1` hops, the longest path without a revisit.
 
 use crate::forward::PathOutcome;
 use chlm_cluster::address::AddressBook;
@@ -25,7 +28,15 @@ use chlm_cluster::Hierarchy;
 use chlm_graph::fasthash::FastMap;
 use chlm_graph::traversal::{bfs_distances, UNREACHABLE};
 use chlm_graph::{Graph, NodeIdx};
+use std::collections::hash_map::Entry;
 use std::ops::Range;
+
+/// Suffix-memo value of a node on the walk in progress. Meeting it again
+/// means the walk revisited a node, so it cycles. Never outlives a call.
+const ON_PATH: u32 = u32::MAX;
+/// Suffix-memo value of a node whose walk to the target cannot deliver.
+/// Real hop counts stay below `n`, so neither sentinel collides.
+const NO_ROUTE: u32 = u32::MAX - 1;
 
 /// All nodes' routing tables for one hierarchy snapshot.
 ///
@@ -185,14 +196,15 @@ impl NextHopTable {
     pub fn route_hops(&self, s: NodeIdx, t: NodeIdx) -> Option<u32> {
         let mut cur = s;
         let mut hops = 0usize;
-        let cap = 4 * self.book.node_count() + 16;
+        let n = self.book.node_count();
         while cur != t {
             let (next, _) = self.step_toward(cur, t)?;
             cur = next;
             hops += 1;
-            if hops > cap {
-                // A level-0 leg left its cluster and the walk cycled
-                // (see the module docs).
+            if hops >= n {
+                // More than n - 1 hops revisited a node: a level-0 leg
+                // left its cluster and the walk cycles (see the module
+                // docs).
                 return None;
             }
         }
@@ -200,15 +212,19 @@ impl NextHopTable {
     }
 
     /// [`NextHopTable::route_hops`] with a caller-provided suffix memo:
-    /// every node on the walked path records its remaining hop count to
-    /// `t` in `memo`, and a walk that reaches a memoized node stops there.
+    /// every node on the walked path records its outcome toward `t` in
+    /// `memo` (the remaining hop count, or "no route"), and a walk that
+    /// reaches a memoized node stops there.
     ///
     /// Routing is deterministic per (node, target), so walks toward the
     /// same target converge and share suffixes — pricing a batch of pairs
     /// against few distinct targets (the handoff-ledger shape: many
     /// transfers into one new host) costs amortized O(1) per pair instead
-    /// of O(hops). Returns exactly what `route_hops` returns; the memo
-    /// only skips re-walking. Failed (unroutable) walks are not memoized.
+    /// of O(hops). Unroutable walks are memoized too: a walk that cycles
+    /// is cut at its first revisited node, found by the same probe that
+    /// consults the memo, and a later walk into any node of a failed path
+    /// answers `None` after one probe. Returns exactly what `route_hops`
+    /// returns; the memo only skips re-walking.
     ///
     /// The memo is only valid for this table — callers must clear it
     /// whenever the table is rebuilt. `path_scratch` is walk scratch,
@@ -225,28 +241,34 @@ impl NextHopTable {
         }
         path_scratch.clear();
         let mut cur = s;
-        let cap = 4 * self.book.node_count() + 16;
         let tail = loop {
             if cur == t {
-                break 0u32;
+                break Some(0);
             }
-            if let Some(&rest) = memo.get(&(cur, t)) {
-                break rest;
+            match memo.entry((cur, t)) {
+                // ON_PATH: the walk revisited `cur` and cycles (see the
+                // module docs).
+                Entry::Occupied(e) => match *e.get() {
+                    ON_PATH | NO_ROUTE => break None,
+                    rest => break Some(rest),
+                },
+                Entry::Vacant(e) => {
+                    e.insert(ON_PATH);
+                }
             }
             path_scratch.push(cur);
-            if path_scratch.len() > cap {
-                // A level-0 leg left its cluster and the walk cycled
-                // (see the module docs).
-                return None;
+            match self.step_toward(cur, t) {
+                Some((next, _)) => cur = next,
+                None => break None,
             }
-            let (next, _) = self.step_toward(cur, t)?;
-            cur = next;
         };
+        // Overwrite every ON_PATH this walk left with its outcome.
         let walked = path_scratch.len() as u32;
         for (i, &node) in path_scratch.iter().enumerate() {
-            memo.insert((node, t), tail + walked - i as u32);
+            let outcome = tail.map_or(NO_ROUTE, |rest| rest + walked - i as u32);
+            memo.insert((node, t), outcome);
         }
-        Some(tail + walked)
+        tail.map(|rest| rest + walked)
     }
 
     /// Route a packet from `s` to `t` using only per-node tables and `t`'s
@@ -268,7 +290,7 @@ impl NextHopTable {
         let mut cur = s;
         let mut legs = 0u32;
         let mut last_common = usize::MAX;
-        let cap = 4 * g0.node_count() + 16;
+        let n = g0.node_count();
         while cur != t {
             let (next, common) = self.step_toward(cur, t)?;
             if common < last_common {
@@ -277,9 +299,10 @@ impl NextHopTable {
             }
             path.push(next);
             cur = next;
-            if path.len() > cap {
-                // A level-0 leg left its cluster and the walk cycled
-                // (see the module docs).
+            if path.len() > n {
+                // More than n - 1 hops revisited a node: a level-0 leg
+                // left its cluster and the walk cycles (see the module
+                // docs).
                 return None;
             }
         }
@@ -444,6 +467,7 @@ mod tests {
     use crate::forward::hierarchical_path;
     use chlm_cluster::HierarchyOptions;
     use chlm_geom::{Disk, SimRng};
+    use chlm_graph::fasthash::FastSet;
     use chlm_graph::traversal::connected_components;
     use chlm_graph::unit_disk::build_unit_disk;
     use proptest::prelude::*;
@@ -761,6 +785,66 @@ mod tests {
         assert_eq!(out.hops, 0);
         assert_eq!(out.path, vec![5]);
         assert_eq!(tables.route_hops(5, 5), Some(0));
+    }
+
+    /// Whether the table walk from `s` to `t` revisits a node, found with
+    /// a visited set rather than by either walker under test.
+    fn walk_cycles(table: &NextHopTable, s: NodeIdx, t: NodeIdx) -> bool {
+        let mut seen = FastSet::default();
+        let mut cur = s;
+        while cur != t {
+            if !seen.insert(cur) {
+                return true;
+            }
+            match table.step_toward(cur, t) {
+                Some((next, _)) => cur = next,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    /// Walks that cycle (see the module docs) are cut at their first
+    /// revisit and memoized as unroutable, and the memo stays exact: every
+    /// ordered pair, priced in a shuffled order through one shared memo,
+    /// answers what the reference walker answers, no "on this path"
+    /// sentinel outlives a call, and a second pass over the filled memo
+    /// answers the same.
+    #[test]
+    fn memo_cuts_cycles_and_stays_exact() {
+        let n = 100u32;
+        let all_pairs = || (0..n).flat_map(|s| (0..n).map(move |t| (s, t)));
+        let (h, table) = (0..20u64)
+            .map(|seed| {
+                let h = hierarchy_with_degree(n as usize, 9.0, 1.0, seed);
+                let table = NextHopTable::build(&h);
+                (h, table)
+            })
+            .find(|(_, table)| all_pairs().any(|(s, t)| walk_cycles(table, s, t)))
+            .expect("no seed in 0..20 holds a cycling pair");
+        let reference = reference_build(&h);
+        let mut pairs: Vec<_> = all_pairs().collect();
+        SimRng::seed_from(12).shuffle(&mut pairs);
+        let mut memo = FastMap::default();
+        let mut path = Vec::new();
+        let first: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| {
+                let hops = table.route_hops_memo(s, t, &mut memo, &mut path);
+                assert_eq!(hops, reference_route_hops(&reference, s, t), "s={s} t={t}");
+                assert!(
+                    memo.values().all(|&v| v != ON_PATH),
+                    "s={s} t={t} left an on-path sentinel"
+                );
+                hops
+            })
+            .collect();
+        assert!(memo.values().any(|&v| v == NO_ROUTE));
+        let second: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| table.route_hops_memo(s, t, &mut memo, &mut path))
+            .collect();
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum HopMetric {
     /// pairs are priced by walking the actual per-node routing tables, so
     /// hierarchical stretch is measured instead of assumed away. Rebuilds
     /// the tables each tick with work proportional to each cluster and
-    /// its parent; the per-pair table walks then dominate.
+    /// its parent, then walks them through a per-tick suffix memo.
     HierRouting,
 }
 

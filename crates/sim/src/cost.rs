@@ -130,26 +130,25 @@ impl CostModel for EuclideanCostModel {
 /// detour ratio, same as the BFS oracle's unreachable fallback) when no
 /// table route exists.
 ///
-/// Priced pairs are memoized for the lifetime of the pricer (one tick):
-/// handoff accounting prices every transferred LM entry, so the same
-/// `(old_host, new_host)` pair recurs many times per tick — and, in a
+/// Walks are memoized for the lifetime of the pricer (one tick) through
+/// [`NextHopTable::route_hops_memo`], which records the outcome — the
+/// remaining hop count, or "no route" — of every node *on* each walked
+/// path. Handoff accounting prices every transferred LM entry, so the
+/// same `(old_host, new_host)` pair recurs many times per tick (and, in a
 /// multiplexed fan-out, across every bank in the metric group sharing
-/// this scope. Beyond exact pair repeats, the table walk itself runs
-/// through [`NextHopTable::route_hops_memo`], which records the remaining
-/// hop count of every node *on* each walked path: routing is
-/// deterministic per (node, target), so the many sources that price
-/// routes into one target host (the handoff-ledger shape) pay for the
-/// shared suffix once. Both memos only skip re-walking pure functions of
-/// the snapshot, so values are unchanged.
+/// this scope); a repeat costs one probe, plus the Euclidean estimate if
+/// the pair is unroutable. Routing is deterministic per (node, target),
+/// so the many sources that price routes into one target host (the
+/// handoff-ledger shape) also pay for the shared suffix once. The memo
+/// only skips re-walking pure functions of the snapshot, so values are
+/// unchanged.
 struct HierPricer<'a> {
     table: &'a NextHopTable,
     positions: &'a [Point],
     rtx: f64,
     fallback: f64,
-    /// Fallback estimates for unroutable pairs, which the suffix memo
-    /// cannot cache (there is no path to record).
-    fallback_memo: &'a mut FastMap<(NodeIdx, NodeIdx), f64>,
-    /// `(node, target)` → remaining table hops, filled along every walk.
+    /// `(node, target)` → remaining table hops or "no route", filled
+    /// along every walk.
     suffix_memo: &'a mut FastMap<(NodeIdx, NodeIdx), u32>,
     path_scratch: &'a mut Vec<NodeIdx>,
 }
@@ -159,9 +158,6 @@ impl HopPricer for HierPricer<'_> {
         if a == b {
             return 0.0;
         }
-        if let Some(&h) = self.fallback_memo.get(&(a, b)) {
-            return h;
-        }
         match self
             .table
             .route_hops_memo(a, b, self.suffix_memo, self.path_scratch)
@@ -169,9 +165,7 @@ impl HopPricer for HierPricer<'_> {
             Some(h) => h as f64,
             None => {
                 let d = self.positions[a as usize].dist(self.positions[b as usize]);
-                let h = (d / self.rtx * self.fallback).max(1.0);
-                self.fallback_memo.insert((a, b), h);
-                h
+                (d / self.rtx * self.fallback).max(1.0)
             }
         }
     }
@@ -188,9 +182,8 @@ pub struct HierRoutingCostModel {
     /// The routing tables, rebuilt in place every tick so their buffers
     /// are allocated once.
     table: NextHopTable,
-    /// Pricer memos recycled across ticks (cleared per pricer scope —
+    /// Pricer memo recycled across ticks (cleared per pricer scope —
     /// the table changes with the hierarchy — but capacity is retained).
-    fallback_memo: FastMap<(NodeIdx, NodeIdx), f64>,
     suffix_memo: FastMap<(NodeIdx, NodeIdx), u32>,
     path_scratch: Vec<NodeIdx>,
 }
@@ -201,7 +194,6 @@ impl HierRoutingCostModel {
         HierRoutingCostModel {
             calibration,
             table: NextHopTable::default(),
-            fallback_memo: FastMap::default(),
             suffix_memo: FastMap::default(),
             path_scratch: Vec::new(),
         }
@@ -218,14 +210,12 @@ impl Default for HierRoutingCostModel {
 impl CostModel for HierRoutingCostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer)) {
         self.table.rebuild(inputs.hierarchy);
-        self.fallback_memo.clear();
         self.suffix_memo.clear();
         scope(&mut HierPricer {
             table: &self.table,
             positions: inputs.positions,
             rtx: inputs.rtx,
             fallback: self.calibration,
-            fallback_memo: &mut self.fallback_memo,
             suffix_memo: &mut self.suffix_memo,
             path_scratch: &mut self.path_scratch,
         });
@@ -352,6 +342,30 @@ mod tests {
                 assert!(hh / bh >= 1.0, "stretch < 1 for ({a},{b})");
             }
         }
+    }
+
+    /// An unroutable pair is priced by the Euclidean fallback, also when
+    /// the memo already holds its failed walk.
+    #[test]
+    fn hier_routing_unroutable_pair_falls_back_twice() {
+        let (g, pts, rtx, h) = setup(150, 6);
+        let table = NextHopTable::build(&h);
+        let (a, b) = (0..150u32)
+            .flat_map(|a| (0..150u32).map(move |b| (a, b)))
+            .find(|&(a, b)| table.route_hops(a, b).is_none())
+            .expect("every pair routes");
+        let inputs = CostInputs {
+            graph: &g,
+            positions: &pts,
+            hierarchy: &h,
+            rtx,
+            sources: &[],
+        };
+        let calibration = 1.3;
+        let want = (pts[a as usize].dist(pts[b as usize]) / rtx * calibration).max(1.0);
+        let mut model = HierRoutingCostModel::new(calibration);
+        let priced = price_all(&mut model, &inputs, &[(a, b), (a, b)]);
+        assert_eq!(priced, [want, want]);
     }
 
     #[test]
